@@ -322,10 +322,12 @@ class CANOverlay(DHTOverlay):
             if heir is None:
                 continue  # overlay is empty
             heir.zones.append(zone)
-            # Relabel the zone's leaf in the index (geometry unchanged);
-            # the center is interior, so the descent cannot land on a
-            # boundary-sharing sibling.
-            leaf = self._bsp_leaf(zone.center())
+            # Relabel the zone's leaf in the index (geometry unchanged).
+            # Descend by the ``lo`` corner, which the half-open zone
+            # always contains: the center of an ulp-wide sliver (left by
+            # a separating split one ulp inside an adopted zone's edge)
+            # rounds onto the split plane and would reach the sibling.
+            leaf = self._bsp_leaf(zone.lo)
             if leaf is not None:
                 leaf.owner = heir
             # Zone adoption may create new abutments for the heir.
@@ -363,7 +365,8 @@ class CANOverlay(DHTOverlay):
                     raise AssertionError(f"asymmetric neighbor link {node} -> {nb}")
         for node in self._live:
             for zone in node.zones:
-                if self.zone_owner(zone.center()) is not node:
+                leaf = self._bsp_leaf(zone.lo)
+                if leaf is None or leaf.owner is not node:
                     raise AssertionError(
                         f"BSP index disagrees with zone ownership for {node}")
         for i, a in enumerate(self._live):

@@ -1,38 +1,24 @@
 """Columnar job table: array-backed job-state mirror.
 
-At 10k+ nodes the per-job Python objects (:class:`repro.grid.job.Job`
-and the owners' :class:`repro.grid.node.JobRecord`\\ s) stay the
+At 10k+ nodes the per-job :class:`repro.grid.job.Job` objects stay the
 protocol's working state, but every whole-population consumer — the
-drain check in :meth:`DesktopGrid.run_until_done`, the owners' monitor
-staleness sweeps, timeline/load analytics — otherwise pays a per-record
-Python loop per scan.  This table keeps the swept fields in dense numpy
-columns, one row per injected job, updated at the same choke points
-that mutate the objects:
-
-* ``state``/``owner`` are *global* truth, fed by the ``Job.state`` /
-  ``Job.owner_id`` property setters (installed in :mod:`repro.grid.job`)
-  so no transition can bypass the mirror;
-* ``run_node``/``last_heartbeat``/``deadline``/``probing`` mirror the
-  **current owner's** :class:`JobRecord` via the owner-gated ``note_*``
-  helpers called from :class:`GridNode`'s record write sites — a stale
-  owner (healed after a partition) writing its dead record never touches
-  the columns.
+drain check in :meth:`DesktopGrid.run_until_done`, timeline/load
+analytics — otherwise pays a per-job Python loop per scan.  This table
+keeps ``state`` and ``owner`` in dense numpy columns, one row per
+injected job, fed by the ``Job.state`` / ``Job.owner_id`` property
+setters (installed in :mod:`repro.grid.job`) so no transition can
+bypass the mirror.
 
 ``check_consistency()`` is the tripwire: it re-derives every column from
 the per-object truth and reports mismatches, so a new mutation path that
 forgets its mirror fails the invariant suite instead of drifting
 silently (same contract as :meth:`NodeRegistry.check_consistency`).
 
-A ``settled`` counter (terminal rows) makes the drain check O(1), and
-:meth:`all_clear` evaluates one owner's monitor sweep as a single array
-mask — the scalar loop runs only when something is actually actionable,
-so the common every-interval "nothing to do" sweep costs no per-record
-Python work.
+A ``settled`` counter (terminal rows) makes the drain check O(1).
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,34 +43,24 @@ class JobTable:
     """Dense columnar view of per-job lifecycle state.
 
     Rows are appended by :meth:`register` (one per injected job, in
-    injection order); columns grow geometrically.  ``owner`` and
-    ``run_node`` store *dense registry indices* (``node_list`` order,
-    ``-1`` for none) rather than GUIDs — GUIDs are sha1-scale integers
-    that do not fit an int64 column, and the dense index is what the
-    vectorized consumers join against :class:`NodeRegistry` columns.
+    injection order); columns grow geometrically.  ``owner`` stores
+    *dense registry indices* (``node_list`` order, ``-1`` for none)
+    rather than GUIDs — GUIDs are sha1-scale integers that do not fit an
+    int64 column, and the dense index is what the vectorized consumers
+    join against :class:`NodeRegistry` columns.
     """
 
-    __slots__ = ("jobs", "n", "state", "owner", "run_node",
-                 "last_heartbeat", "deadline", "probing", "settled",
-                 "_node_index", "_timeout")
+    __slots__ = ("jobs", "n", "state", "owner", "settled", "_node_index")
 
-    def __init__(self, node_index: dict[int, int], hb_timeout: float,
-                 capacity: int = 1024):
+    def __init__(self, node_index: dict[int, int], capacity: int = 1024):
         #: node GUID -> dense registry index (NodeRegistry.index).
         self._node_index = node_index
-        #: Monitor staleness threshold (heartbeat_interval x miss_limit);
-        #: ``deadline`` is always ``last_heartbeat + _timeout``.
-        self._timeout = float(hb_timeout)
         self.jobs: list[Job] = []          # row -> Job (check_consistency)
         self.n = 0
         self.settled = 0                   # rows in a terminal state
         cap = max(int(capacity), 1)
         self.state = np.zeros(cap, dtype=np.int8)
         self.owner = np.full(cap, -1, dtype=np.int32)
-        self.run_node = np.full(cap, -1, dtype=np.int32)
-        self.last_heartbeat = np.full(cap, np.nan, dtype=np.float64)
-        self.deadline = np.full(cap, np.inf, dtype=np.float64)
-        self.probing = np.zeros(cap, dtype=bool)
 
     def __len__(self) -> int:
         return self.n
@@ -93,8 +69,7 @@ class JobTable:
 
     def _grow(self) -> None:
         cap = len(self.state) * 2
-        for name in ("state", "owner", "run_node", "last_heartbeat",
-                     "deadline", "probing"):
+        for name in ("state", "owner"):
             old = getattr(self, name)
             new = np.empty(cap, dtype=old.dtype)
             new[:self.n] = old[:self.n]
@@ -115,10 +90,6 @@ class JobTable:
             self.settled += 1
         self.owner[i] = -1 if job.owner_id is None \
             else self._node_index.get(job.owner_id, -1)
-        self.run_node[i] = -1
-        self.last_heartbeat[i] = math.nan
-        self.deadline[i] = math.inf
-        self.probing[i] = False
         job._jt = self
         job._jt_idx = i
         return i
@@ -136,60 +107,12 @@ class JobTable:
         self.owner[idx] = -1 if owner_id is None \
             else self._node_index.get(owner_id, -1)
 
-    # -- owner-gated record mirrors (called from GridNode write sites) ----
-    #
-    # Each gate is ``job.owner_id == owner_id``: only the *current* owner's
-    # JobRecord is reflected; a stale owner replaying a dead record (healed
-    # partition, late rpc) mutates its own object but not the columns.
-
-    def note_record(self, job: Job, owner_id: int,
-                    run_node_id: int | None, last_heartbeat: float) -> None:
-        if job._jt is not self or job.owner_id != owner_id:
-            return
-        i = job._jt_idx
-        self.run_node[i] = -1 if run_node_id is None \
-            else self._node_index.get(run_node_id, -1)
-        self.last_heartbeat[i] = last_heartbeat
-        self.deadline[i] = last_heartbeat + self._timeout
-
-    def note_heartbeat(self, job: Job, owner_id: int, now: float) -> None:
-        if job._jt is not self or job.owner_id != owner_id:
-            return
-        i = job._jt_idx
-        self.last_heartbeat[i] = now
-        self.deadline[i] = now + self._timeout
-
-    def note_probing(self, job: Job, owner_id: int, flag: bool) -> None:
-        if job._jt is not self or job.owner_id != owner_id:
-            return
-        self.probing[job._jt_idx] = flag
-
     # -- vectorized consumers ---------------------------------------------
 
     @property
     def all_settled(self) -> bool:
         """O(1) drain check: every registered job reached a terminal state."""
         return self.settled == self.n
-
-    def all_clear(self, rows: np.ndarray, owner_idx: int,
-                  now: float) -> bool:
-        """One owner's monitor sweep as an array mask.
-
-        True iff the scalar sweep over these rows would take no action:
-        every row is non-terminal, still owned by ``owner_idx``, and
-        either has no run node yet, is already being probed, or its
-        heartbeat is fresh.  The staleness predicate is the exact
-        negation of the scalar ``now - last_heartbeat > timeout`` (not a
-        rearranged ``deadline`` comparison, which rounds differently).
-        """
-        state = self.state[rows]
-        if (state >= _TERMINAL_MIN).any():
-            return False
-        if (self.owner[rows] != owner_idx).any():
-            return False
-        ok = ((self.run_node[rows] < 0) | self.probing[rows]
-              | ~(now - self.last_heartbeat[rows] > self._timeout))
-        return bool(ok.all())
 
     def state_counts(self) -> dict[JobState, int]:
         """Job count per lifecycle state, one bincount over the column."""
@@ -202,12 +125,10 @@ class JobTable:
     def check_consistency(self, grid: "DesktopGrid") -> list[str]:
         """Compare every column against the per-object truth (test hook).
 
-        ``state``/``owner`` must always match the Job; the record-mirror
-        columns are compared against the *current* owner's live
-        JobRecord when one exists for a non-terminal job (after a crash
-        or mid-handoff there is no authoritative record and the columns
-        legitimately hold the last owner's final values).  Returns
-        human-readable mismatch descriptions — empty means exact.
+        ``state``/``owner`` must always match the Job.  ``grid`` is
+        unused (the Job objects carry all the truth); callers pass the
+        table's grid.  Returns human-readable mismatch descriptions —
+        empty means exact.
         """
         problems: list[str] = []
         index = self._node_index
@@ -227,29 +148,6 @@ class JobTable:
             if job._jt is not self or job._jt_idx != i:
                 problems.append(f"row {i} ({job.name}): back-reference "
                                 f"mismatch (idx={job._jt_idx})")
-            owner = grid.nodes.get(job.owner_id) \
-                if job.owner_id is not None else None
-            rec = owner.owned.get(job.guid) if owner is not None else None
-            if rec is None or rec.job is not job or job.is_terminal:
-                continue
-            run_idx = -1 if rec.run_node_id is None \
-                else index.get(rec.run_node_id, -1)
-            if int(self.run_node[i]) != run_idx:
-                problems.append(f"run_node[{i}] ({job.name}): "
-                                f"{int(self.run_node[i])} != {run_idx}")
-            lh = float(self.last_heartbeat[i])
-            if not (lh == rec.last_heartbeat
-                    or (math.isnan(lh) and math.isnan(rec.last_heartbeat))):
-                problems.append(f"last_heartbeat[{i}] ({job.name}): "
-                                f"{lh} != {rec.last_heartbeat}")
-            dl = float(self.deadline[i])
-            want_dl = rec.last_heartbeat + self._timeout
-            if not (dl == want_dl or (math.isnan(dl) and math.isnan(want_dl))):
-                problems.append(f"deadline[{i}] ({job.name}): "
-                                f"{dl} != {want_dl}")
-            if bool(self.probing[i]) != rec.probing:
-                problems.append(f"probing[{i}] ({job.name}): "
-                                f"{bool(self.probing[i])} != {rec.probing}")
         if settled != self.settled:
             problems.append(f"settled counter: {self.settled} != {settled}")
         return problems

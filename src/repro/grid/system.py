@@ -263,13 +263,10 @@ class DesktopGrid:
             node._reg_idx = i
 
         #: Columnar job-state mirror (see repro.grid.jobtable): one row
-        #: per injected job, fed by the Job property setters and the
-        #: owner-gated record hooks in GridNode.  None when the
-        #: ``vectorized`` knob is off (pure-scalar A/B mode).
-        self.job_table = JobTable(
-            self.registry.index,
-            cfg.heartbeat_interval * cfg.heartbeat_miss_limit,
-        ) if cfg.vectorized else None
+        #: per injected job, fed by the Job property setters.  None when
+        #: the ``vectorized`` knob is off (pure-scalar A/B mode).
+        self.job_table = JobTable(self.registry.index) \
+            if cfg.vectorized else None
 
         self.matchmaker = matchmaker
         matchmaker.bind(self)
@@ -458,7 +455,8 @@ class DesktopGrid:
         """Advance until every submitted job reached a terminal state.
 
         Returns True on success, False if ``max_time`` elapsed first.
-        Periodic protocol tasks keep the event queue non-empty forever, so
+        Periodic tasks (DHT maintenance, client watchdogs, busy nodes'
+        heartbeats) can keep the event queue non-empty indefinitely, so
         progress is checked every ``chunk`` of virtual time.
         """
         # The JobTable's settled counter answers "is every job terminal?"

@@ -502,8 +502,14 @@ class Simulator:
         Identical event semantics to the fast loop — profiling reads wall
         clock around each callback but never touches virtual time, event
         order, or RNG streams, so results are bit-identical either way.
-        The heap-depth gauge samples once per timestamp batch.
+        The heap-depth gauge samples once per timestamp batch.  A
+        :class:`~repro.sim.process.PeriodicTask` firing is keyed by the
+        task's callback (``GridNode._runner_tick``), not by the
+        ``PeriodicTask._fire`` wrapper every periodic timer shares.
         """
+        from repro.sim.process import PeriodicTask  # process imports kernel
+
+        periodic_fire = PeriodicTask._fire
         prof = self.profile
         heap = self._heap
         wheel = self._wheel
@@ -544,7 +550,9 @@ class Simulator:
                     handle.fn = None
                     handle.args = ()
                     handle.sim = None
-                site = getattr(fn, "__qualname__", None) or repr(fn)
+                named = fn.__self__.fn \
+                    if getattr(fn, "__func__", None) is periodic_fire else fn
+                site = getattr(named, "__qualname__", None) or repr(named)
                 t_cb = perf_counter()
                 fn(*args)
                 prof.note(site, perf_counter() - t_cb)

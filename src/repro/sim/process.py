@@ -78,6 +78,11 @@ class PeriodicTask:
             first = float(self.rng.uniform(0, self.interval))
         self._handle = self.sim.schedule_timer(first, self._fire_ref)
 
+    @property
+    def armed(self) -> bool:
+        """A firing is pending (started and not stopped)."""
+        return self._handle is not None
+
     def stop(self) -> None:
         self.stopped = True
         if self._handle is not None:
@@ -96,7 +101,9 @@ class PeriodicTask:
         self._handle = None
         self.firings += 1
         self.fn()
-        if not self.stopped:  # fn may have called stop()
+        # fn may have called stop(), or stop() then start() (which armed
+        # a fresh first firing already).
+        if not self.stopped and self._handle is None:
             # No-jitter tasks skip the rng branch (and _next_delay call)
             # entirely: the common telemetry/maintenance timers reschedule
             # with two attribute loads and a schedule().

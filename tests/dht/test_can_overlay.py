@@ -119,19 +119,58 @@ class TestTakeover:
         ov.check_invariants()
 
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 1000))
-    def test_random_crash_patterns_keep_routing_correct(self, seed):
-        ov = build_overlay(50, seed=seed % 5)
+    @given(seed=st.integers(0, 1000), discrete=st.booleans())
+    def test_random_crash_patterns_keep_routing_correct(self, seed, discrete):
+        # Discrete capability levels (0.8, 0.9, ...) put split planes on
+        # level midpoints, where rounding leaves ulp-wide zones.
+        ov = build_overlay(50, seed=seed % 5, discrete=discrete)
         rng = np.random.default_rng(seed)
-        live = ov.live_nodes()
-        for idx in rng.choice(len(live), size=len(live) // 3, replace=False):
-            ov.crash(live[idx].node_id)
-        ov.check_invariants()
+        for rnd in range(3):
+            live = ov.live_nodes()
+            for idx in rng.choice(len(live), size=len(live) // 3,
+                                  replace=False):
+                ov.crash(live[idx].node_id)
+            ov.check_invariants()
+            for i in range(len(live) // 3):
+                if discrete:
+                    coords = tuple(rng.integers(1, 11, 2) / 10.0) + \
+                        (float(rng.uniform()),)
+                else:
+                    coords = tuple(rng.uniform(0, 1, 3))
+                ov.join(CANNode(guid_for(f"churn-{seed}-{rnd}-{i}"), coords))
+            ov.check_invariants()
         for _ in range(30):
             p = tuple(rng.uniform(0, 1, 3))
             res = ov.route(p)
             assert res.success
             assert res.owner is ov.zone_owner(p)
+
+    def test_ulp_sliver_takeover_relabels_its_own_leaf(self):
+        # A joiner landing in an *adopted* zone splits it at the midpoint
+        # of the owner's point (outside the zone) and its own.  (0.8 +
+        # 0.9) / 2 rounds to 0.8500000000000001, one ulp inside the
+        # adopted zone's lower edge at 0.85, leaving an ulp-wide sliver.
+        ov = CANOverlay(np.random.default_rng(0), dims=2)
+        for nid, point in [(1, (0.7, 0.5)), (2, (1.0, 0.5)),
+                           (3, (0.8, 0.5))]:
+            ov.join(CANNode(nid, point))
+        ov.crash(2)                       # node 3 adopts [0.85, 1) x [0, 1)
+        ov.join(CANNode(4, (0.9, 0.5)))   # splits the adopted zone
+        holder = ov.nodes[3]
+        sliver = holder.zones[1]
+        assert sliver.lo[0] == 0.85
+        assert sliver.hi[0] == np.nextafter(0.85, 1.0)
+        ov.join(CANNode(5, (0.9, 0.2)))   # a second sliver neighbor
+        ov.check_invariants()
+        # The sliver's heir is node 5; its center rounds onto the split
+        # plane, inside node 4's zone, which must keep its own owner.
+        ov.crash(3)
+        ov.check_invariants()
+        joiner = CANNode(6, (0.95, 0.8))  # lands in node 4's zone
+        ov.join(joiner)
+        ov.check_invariants()
+        assert joiner.zone.contains(joiner.point)
+        assert ov.route((0.85, 0.5)).owner is ov.nodes[5]
 
     def test_graceful_leave_hands_off_store(self):
         ov = build_overlay(30)

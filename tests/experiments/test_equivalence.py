@@ -67,7 +67,19 @@ class TestPreOptimizationGoldens:
     sim_time 1000 with every job settled, and the test now asserts
     ``finished`` so the zombie regime cannot quietly return.  The other
     two goldens never exercise LOST (no client resubmission) and did
-    not move."""
+    not move.
+
+    Second deliberate exception: the two heartbeat-enabled goldens
+    (``c59ae088…`` → ``04302f77…`` and ``1efe1eca…`` → ``a8e2d9fc…``)
+    were re-pinned when the runner heartbeat and owner monitor became
+    on-demand timers.  Idle nodes no longer tick, so they no longer
+    draw phase jitter from the shared ``rng_protocol`` stream, and
+    every later draw shifts.  Job outcomes stayed within seed noise
+    (rpc/ack run: 179 vs 181 completed, 21 vs 19 lost; fair-share run:
+    200 of 200 completed both ways), and the tracing, knobs-off,
+    scalar and heap-only variants below still agree bit-for-bit with
+    the new digests.  The bare oracle golden runs without heartbeats
+    and did not move."""
 
     def test_bare_oracle_run(self):
         out = run_workload(_workload(), "rn-tree", seed=7)
@@ -82,7 +94,7 @@ class TestPreOptimizationGoldens:
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg)
         assert out.finished  # the zombie-LOST regime burned to max_time
         assert fingerprint(out) == (
-            "c59ae088b9a99f0d6321b4195907be2c16dcb98ef5ff6f7c76f957798c4f30e6")
+            "04302f77c3636967ffd28de5a0052e4217945ea9d2fcc7ca55af33bd35d73e76")
 
     def test_heartbeats_rpc_ack_run_with_tracing(self):
         """Causal tracing must not move the golden either: trace-context
@@ -97,7 +109,7 @@ class TestPreOptimizationGoldens:
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg,
                            telemetry=tel)
         assert fingerprint(out) == (
-            "c59ae088b9a99f0d6321b4195907be2c16dcb98ef5ff6f7c76f957798c4f30e6")
+            "04302f77c3636967ffd28de5a0052e4217945ea9d2fcc7ca55af33bd35d73e76")
         assert len(tel.bus) > 0
 
     def test_centralized_fair_share_run(self):
@@ -106,7 +118,7 @@ class TestPreOptimizationGoldens:
                          heartbeats_enabled=True)
         out = run_workload(wl, "centralized", seed=3, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "1efe1eca8cc4cd5d77345698be1cb822a3d08ca307a8084d6fab6f7fc737aa8c")
+            "a8e2d9fcf006d55d678eacf424982707fddf7f3cc01ad3ee3401e1d18db1634d")
 
 
 class TestMitigationKnobsDefaultOff:
@@ -133,7 +145,7 @@ class TestMitigationKnobsDefaultOff:
                          client_resubmit_enabled=True, **self.KNOBS_OFF)
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "c59ae088b9a99f0d6321b4195907be2c16dcb98ef5ff6f7c76f957798c4f30e6")
+            "04302f77c3636967ffd28de5a0052e4217945ea9d2fcc7ca55af33bd35d73e76")
 
     def test_fair_share_with_knobs_explicitly_off(self):
         wl = _workload()
@@ -141,7 +153,7 @@ class TestMitigationKnobsDefaultOff:
                          heartbeats_enabled=True, **self.KNOBS_OFF)
         out = run_workload(wl, "centralized", seed=3, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "1efe1eca8cc4cd5d77345698be1cb822a3d08ca307a8084d6fab6f7fc737aa8c")
+            "a8e2d9fcf006d55d678eacf424982707fddf7f3cc01ad3ee3401e1d18db1634d")
 
 
 class TestColumnarKnobEquivalence:
@@ -165,7 +177,7 @@ class TestColumnarKnobEquivalence:
                          client_resubmit_enabled=True, vectorized=False)
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "c59ae088b9a99f0d6321b4195907be2c16dcb98ef5ff6f7c76f957798c4f30e6")
+            "04302f77c3636967ffd28de5a0052e4217945ea9d2fcc7ca55af33bd35d73e76")
 
     def test_fair_share_scalar_matches_golden(self):
         wl = _workload()
@@ -173,7 +185,7 @@ class TestColumnarKnobEquivalence:
                          heartbeats_enabled=True, vectorized=False)
         out = run_workload(wl, "centralized", seed=3, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "1efe1eca8cc4cd5d77345698be1cb822a3d08ca307a8084d6fab6f7fc737aa8c")
+            "a8e2d9fcf006d55d678eacf424982707fddf7f3cc01ad3ee3401e1d18db1634d")
 
 
 class TestTimerWheelEquivalence:
@@ -191,7 +203,7 @@ class TestTimerWheelEquivalence:
                          dispatch_ack=True, client_resubmit_enabled=True)
         out = run_workload(wl, "rn-tree", seed=7, grid_cfg=cfg)
         assert fingerprint(out) == (
-            "c59ae088b9a99f0d6321b4195907be2c16dcb98ef5ff6f7c76f957798c4f30e6")
+            "04302f77c3636967ffd28de5a0052e4217945ea9d2fcc7ca55af33bd35d73e76")
 
     def test_heartbeat_aggregation_golden_n150(self):
         """Batched per-node heartbeat sweeps under churn at N=150: the

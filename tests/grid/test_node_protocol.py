@@ -238,3 +238,155 @@ class TestFairShare:
         finished_before_light = sum(
             1 for j in heavy_jobs if j.finish_time <= light_job.start_time + 1e-9)
         assert finished_before_light >= 4  # waits out the whole burst
+
+
+def _armed(task):
+    return task is not None and task.armed
+
+
+class TestOnDemandTimers:
+    """The runner heartbeat runs only while a node holds a job, and the
+    owner monitor only while it owns a record (§2 asks for a heartbeat
+    per queued job, not per node)."""
+
+    def make_hb_grid(self, n_nodes=12, **overrides):
+        defaults = dict(seed=7, heartbeats_enabled=True,
+                        heartbeat_interval=1.0, heartbeat_miss_limit=2.5)
+        defaults.update(overrides)
+        return make_small_grid("rn-tree", n_nodes=n_nodes,
+                               cfg=GridConfig(**defaults))
+
+    def warm_up(self, grid, client, n_jobs=40):
+        """Run short jobs to completion and let every task disarm; return
+        each node's (heartbeat, monitor) task objects."""
+        start = grid.sim.now
+        for i in range(n_jobs):
+            submit_job(grid, client, f"warm-{i}", work=5.0,
+                       at=start + i * 0.5)
+        assert grid.run_until_done(max_time=grid.sim.now + 1000)
+        grid.run(until=grid.sim.now + 5.0)
+        tasks = {n.node_id: (n._hb_task, n._monitor_task)
+                 for n in grid.node_list}
+        for hb, mon in tasks.values():
+            assert not _armed(hb) and not _armed(mon)
+        return tasks
+
+    def running_job(self, grid, client, name, work=60.0):
+        start = grid.sim.now
+        job = submit_job(grid, client, name, work=work, at=start + 1.0)
+        grid.run(until=start + 10.0)
+        assert job.state is JobState.RUNNING
+        assert job.owner_id != job.run_node_id
+        return job
+
+    def test_idle_node_has_no_armed_task(self):
+        grid = self.make_hb_grid()
+        grid.run(until=50.0)
+        for node in grid.node_list:
+            assert node._hb_task is None and node._monitor_task is None
+        # Nodes that ran and owned jobs go back to idle: the warm-up
+        # asserts every task disarmed, and nothing is left to simulate.
+        self.warm_up(grid, grid.client("c"))
+        assert grid.sim.peek_time() is None
+
+    def test_first_enqueue_and_first_owned_record_arm(self):
+        grid = self.make_hb_grid()
+        client = grid.client("c")
+        job = self.running_job(grid, client, "first")
+        owner = grid.nodes[job.owner_id]
+        runner = grid.nodes[job.run_node_id]
+        assert _armed(runner._hb_task)
+        assert _armed(owner._monitor_task)
+        assert not _armed(owner._hb_task)
+        assert not _armed(runner._monitor_task)
+        for node in grid.node_list:
+            if node is not owner and node is not runner:
+                assert not _armed(node._hb_task)
+                assert not _armed(node._monitor_task)
+
+    def test_drain_disarms_and_next_job_rearms(self):
+        grid = self.make_hb_grid(n_nodes=1)
+        node = grid.node_list[0]
+        client = grid.client("c")
+        submit_job(grid, client, "one", work=10.0)
+        grid.run(until=5.0)
+        hb, mon = node._hb_task, node._monitor_task
+        assert hb.armed and mon.armed
+        assert grid.run_until_done(max_time=grid.sim.now + 1000)
+        grid.run(until=grid.sim.now + 3.0)
+        assert not hb.armed and not mon.armed
+        beats = grid.network.stats.by_kind["heartbeat"]
+        grid.run(until=grid.sim.now + 20.0)
+        assert grid.network.stats.by_kind["heartbeat"] == beats
+        submit_job(grid, client, "two", work=10.0, at=grid.sim.now + 1.0)
+        grid.run(until=grid.sim.now + 5.0)
+        assert node._hb_task is hb and node._monitor_task is mon
+        assert hb.armed and mon.armed
+        assert grid.run_until_done(max_time=grid.sim.now + 1000)
+
+    def test_partition_then_heal_resumes_heartbeats(self):
+        grid = self.make_hb_grid(heartbeat_miss_limit=10.0)
+        client = grid.client("c")
+        job = self.running_job(grid, client, "dark")
+        runner = grid.nodes[job.run_node_id]
+        owner = grid.nodes[job.owner_id]
+        grid.partition_node(runner.node_id)
+        grid.run(until=grid.sim.now + 5.0)
+        # Partitioned, not idle: the queue survives, so the timer does.
+        assert runner.running is job and runner._hb_task.armed
+        heal_time = grid.sim.now
+        grid.heal_node(runner.node_id)
+        grid.run(until=heal_time + 2.0)
+        assert owner.owned[job.guid].last_heartbeat > heal_time
+        assert grid.run_until_done(max_time=grid.sim.now + 1000)
+        assert job.state is JobState.COMPLETED
+        assert job.run_node_failures == 0 and job.owner_failures == 0
+
+    def test_crash_then_recover_starts_clean(self):
+        grid = self.make_hb_grid()
+        client = grid.client("c")
+        job = self.running_job(grid, client, "restart")
+        runner = grid.nodes[job.run_node_id]
+        hb = runner._hb_task
+        grid.crash_node(runner.node_id)
+        assert not hb.armed and runner.queue_len == 0
+        grid.recover_node(runner.node_id)
+        grid.run(until=grid.sim.now + 5.0)
+        assert runner._hb_task is hb and not hb.armed
+        assert not _armed(runner._monitor_task)
+        assert grid.run_until_done(max_time=grid.sim.now + 5000)
+        assert job.state is JobState.COMPLETED
+
+    def test_run_node_crash_rematches_on_rearmed_timer(self):
+        grid = self.make_hb_grid()
+        client = grid.client("c")
+        tasks = self.warm_up(grid, client)
+        job = self.running_job(grid, client, "survivor")
+        # The owner's monitor is the warm-up's task object, re-armed.
+        monitor = tasks[job.owner_id][1]
+        assert monitor is not None and monitor.armed
+        assert grid.nodes[job.owner_id]._monitor_task is monitor
+        grid.crash_node(job.run_node_id)
+        assert grid.run_until_done(max_time=grid.sim.now + 5000)
+        assert job.state is JobState.COMPLETED
+        assert job.run_node_failures >= 1
+        assert grid.metrics.recoveries["run-node"] >= 1
+        assert job.attempt == 1
+
+    def test_owner_crash_reinserts_on_rearmed_timer(self):
+        grid = self.make_hb_grid()
+        client = grid.client("c")
+        tasks = self.warm_up(grid, client)
+        job = self.running_job(grid, client, "orphan")
+        original_owner = job.owner_id
+        # The runner's heartbeat is the warm-up's task object, re-armed.
+        heartbeat = tasks[job.run_node_id][0]
+        assert heartbeat is not None and heartbeat.armed
+        assert grid.nodes[job.run_node_id]._hb_task is heartbeat
+        grid.crash_node(original_owner)
+        assert grid.run_until_done(max_time=grid.sim.now + 5000)
+        assert job.state is JobState.COMPLETED
+        assert job.owner_failures >= 1
+        assert job.owner_id != original_owner
+        assert grid.metrics.recoveries["owner"] >= 1
+        assert job.attempt == 1

@@ -15,8 +15,8 @@ assert properties that must hold on **every** trajectory:
   (alive / queue_len / jobs_executed / busy_time) agree with a per-node
   scan after arbitrary crash/partition/heal interleavings.
 * **Job-table consistency** — the columnar :class:`JobTable` mirrors
-  (state / owner / run-node / heartbeat / deadline) agree with a
-  per-job scan under the same interleavings.
+  (state / owner) agree with a per-job scan under the same
+  interleavings.
 * **Span-tree well-formedness** — the telemetry timeline reconstructs
   with no orphan spans, and on a drained run every traced job carries a
   terminal event.
@@ -128,9 +128,9 @@ def check_invariants(grid: DesktopGrid, finished: bool,
     assert problems == [], f"registry drift: {problems[:5]}"
 
     # -- columnar job-table mirrors stay exact ----------------------------
-    # Every column of the JobTable (state/owner plus the record mirrors
-    # the monitor and drain checks read) must agree with a per-object
-    # scan after arbitrary crash/partition/heal interleavings.
+    # Every column of the JobTable (state/owner, which the drain check
+    # reads) must agree with a per-object scan after arbitrary
+    # crash/partition/heal interleavings.
     if grid.job_table is not None:
         jt_problems = grid.job_table.check_consistency(grid)
         assert jt_problems == [], f"job-table drift: {jt_problems[:5]}"

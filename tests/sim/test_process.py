@@ -57,6 +57,21 @@ class TestPeriodicTask:
         sim.run(until=3.0)
         assert count[0] == 2  # at t=1.0 then t=2.5
 
+    def test_restart_from_within_callback_arms_one_timer(self, sim):
+        # A callback that stops and restarts its own task (an on-demand
+        # timer re-armed mid-fire) must leave exactly one pending firing.
+        times = []
+        box = {}
+
+        def fn():
+            times.append(sim.now)
+            box["t"].stop()
+            box["t"].start()
+
+        box["t"] = PeriodicTask(sim, 1.0, fn, stagger=False)
+        sim.run(until=3.5)
+        assert times == [1.0, 2.0, 3.0]
+
     def test_jitter_varies_cadence(self, sim, rng):
         times = []
         PeriodicTask(sim, 1.0, lambda: times.append(sim.now),

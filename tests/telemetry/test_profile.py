@@ -3,6 +3,7 @@
 import math
 
 from repro.sim.kernel import Simulator
+from repro.sim.process import PeriodicTask
 from repro.telemetry import KernelProfile
 
 
@@ -45,6 +46,26 @@ class TestKernelProfile:
         assert "_burn" in site
         assert calls == 6
         assert cum >= 0
+
+    def test_periodic_task_site_is_its_callback(self):
+        # Every periodic timer fires through PeriodicTask._fire; the
+        # profile must name the protocol callback it runs instead.
+        class Node:
+            def __init__(self):
+                self.ticks = 0
+
+            def tick(self):
+                self.ticks += 1
+
+        sim = Simulator()
+        sim.profile = KernelProfile()
+        node = Node()
+        PeriodicTask(sim, 1.0, node.tick, stagger=False)
+        sim.schedule(0.5, _burn, sim, [], 0)
+        sim.run(until=3.5)
+        sites = {site: calls for site, calls, _ in sim.profile.top_sites()}
+        assert node.ticks == 3
+        assert sites == {f"{Node.__qualname__}.tick": 3, "_burn": 1}
 
     def test_profile_accumulates_across_runs(self):
         profile = KernelProfile()
